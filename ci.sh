@@ -36,12 +36,6 @@ echo "== E19 partitioned-WAL smoke (parallel recovery + single-partition baselin
 # >= 0.95x the KvStore::open baseline throughput (full sweep: experiments -- e19).
 cargo run --release -p rrq-bench --bin experiments -q -- e19 --smoke
 
-echo "== E20 combining-dequeue smoke (flat-combining vs baseline at 8 dequeuers)"
-# Asserts the combining front end drains a hot queue >= 1.2x faster than the
-# race-the-index baseline at 8 dequeuers and hands out disjoint candidates
-# (skip rate < 0.1 vs ~n-1 baseline). Full sweep: experiments -- e20.
-cargo run --release -p rrq-bench --bin experiments -q -- e20 --smoke
-
 echo "== E21 repo-partition smoke (shared-nothing scaling, 4 vs 1 partitions)"
 # Asserts 4 shared-nothing repository partitions push >= 1.5x the 1-partition
 # rate on the bank workload at 0% cross-partition traffic, every commit
@@ -49,8 +43,8 @@ echo "== E21 repo-partition smoke (shared-nothing scaling, 4 vs 1 partitions)"
 cargo run --release -p rrq-bench --bin experiments -q -- e21 --smoke
 
 echo "== E22 planned-execution smoke (contention crossover + locked-baseline tripwire)"
-# Asserts the planned pool beats the full 2PL stack (group commit + flat
-# combining) >= 1.2x at 100% hot-pair traffic, and that the exec_mode-knob
+# Asserts the planned pool beats the full 2PL stack (skip-locked dequeues +
+# group commit) >= 1.2x at 100% hot-pair traffic, and that the exec_mode-knob
 # locked cell holds >= 0.95x of the pre-PR plain-constructor baseline
 # (full sweep: experiments -- e22).
 cargo run --release -p rrq-bench --bin experiments -q -- e22 --smoke
@@ -67,14 +61,6 @@ echo "== explorer partitioned sweep (200 scripts, wal_partitions=4, per-log torn
 cargo run --release -p rrq-bench --bin explore -- \
   --scripts 200 --seed 1 --budget-secs 240 --wal-partitions 4 \
   --out target/explorer-failures-p4
-
-echo "== explorer combining sweep (200 scripts, dequeue_combining on)"
-# Same fixed seeds with every dequeue routed through the flat-combining
-# dispenser; crashes land mid-combine and the oracle battery must stay
-# green (the dispenser is volatile — recovery restarts it empty).
-cargo run --release -p rrq-bench --bin explore -- \
-  --scripts 200 --seed 1 --budget-secs 240 --dequeue-combining \
-  --out target/explorer-failures-comb
 
 echo "== explorer shared-nothing sweep (200 scripts, repo_partitions=4)"
 # Same fixed seeds against four shared-nothing repository partitions: clerks

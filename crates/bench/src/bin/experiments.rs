@@ -114,9 +114,6 @@ fn main() {
     if run("e19") {
         e19_partitioned_wal(&scale, smoke);
     }
-    if run("e20") {
-        e20_combining_dequeue(&scale, smoke);
-    }
     if run("e21") {
         e21_partition_scaling(&scale, smoke);
     }
@@ -1578,7 +1575,6 @@ fn e18_run(name: &str, workers: usize, shards: usize, n: u64) -> (f64, rrq_obs::
         },
         wal_sync_latency: Some(Duration::from_micros(100)),
         wal_partitions: 1,
-        dequeue_combining: false,
         repo_partitions: 1,
         ..RepoOptions::default()
     };
@@ -2048,185 +2044,6 @@ fn e19_partitioned_wal(scale: &Scale, smoke: bool) {
 }
 
 // ======================================================================
-// E20 — flat-combining dequeue front end: hot-queue dequeuer sweep
-// ======================================================================
-
-/// One E20 cell: `dequeuers` threads drain `elements` preloaded elements
-/// from a single hot skip-locked queue, with the flat-combining dispenser
-/// on or off. Default (in-memory, unsynced) storage keeps commits cheap, so
-/// the measurement isolates the candidate-selection front end: the baseline
-/// pays one 64-key ready-index page per attempt per dequeuer plus a
-/// skip-grab on every candidate a peer already holds; combining pays one
-/// combiner pass handing out disjoint candidates. Threads exit when the
-/// queue reports empty; el/s is the drain rate.
-fn e20_run(
-    name: &str,
-    dequeuers: usize,
-    combining: bool,
-    elements: u64,
-) -> (f64, rrq_obs::Snapshot) {
-    let session = rrq_obs::Session::start();
-    let opts = RepoOptions {
-        dequeue_combining: combining,
-        ..RepoOptions::default()
-    };
-    let (repo, _) = Repository::open_with(name, RepoDisks::new(), opts).unwrap();
-    let repo = Arc::new(repo);
-    repo.create_queue_defaults("hot").unwrap();
-    let (h, _) = repo.qm().register("hot", "filler", false).unwrap();
-    for i in 0..elements {
-        repo.autocommit(|t| {
-            repo.qm().enqueue(
-                t.id().raw(),
-                &h,
-                &i.to_le_bytes(),
-                EnqueueOptions::default(),
-            )
-        })
-        .unwrap();
-    }
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..dequeuers)
-        .map(|d| {
-            let repo = Arc::clone(&repo);
-            rrq_core::threads::spawn_named(format!("e20-d{d}"), move || {
-                let (h, _) = repo.qm().register("hot", &format!("d{d}"), false).unwrap();
-                while repo
-                    .autocommit(|t| {
-                        repo.qm()
-                            .dequeue(t.id().raw(), &h, DequeueOptions::default())
-                    })
-                    .is_ok()
-                {}
-            })
-        })
-        .collect();
-    for hd in handles {
-        hd.join().unwrap();
-    }
-    let rate = elements as f64 / t0.elapsed().as_secs_f64();
-    (rate, session.snapshot())
-}
-
-fn e20_skip_rate(snap: &rrq_obs::Snapshot) -> f64 {
-    snap.counter("qm.dequeue.lock_skips") as f64 / snap.counter("qm.dequeue.ops").max(1) as f64
-}
-
-fn e20_wait_p99(snap: &rrq_obs::Snapshot) -> u64 {
-    snap.histogram("qm.qindex.shard.acquire_wait_ticks")
-        .map(|h| h.quantile(0.99))
-        .unwrap_or(0)
-}
-
-fn e20_combining_dequeue(scale: &Scale, smoke: bool) {
-    println!("## E20 — flat-combining dequeue front end on one hot queue\n");
-    println!("One skip-locked queue, 1 → 64 dequeuers, same preloaded bank, one");
-    println!("knob: `RepoOptions::dequeue_combining`. Baseline dequeuers race the");
-    println!("per-queue ready index independently — each pages the BTreeMap and");
-    println!("skip-grabs candidates its peers already hold (E17 measured the skip");
-    println!("rate growing like n−1). Combining publishes the requests instead:");
-    println!("one combiner drains the map once and hands out disjoint candidates,");
-    println!("so skips collapse toward zero and the per-queue mutex stops being");
-    println!("the n-way convoy.\n");
-
-    let dequeuer_counts: &[usize] = if smoke {
-        &[8]
-    } else {
-        &[1, 2, 4, 8, 16, 32, 64]
-    };
-    let elements = if smoke { 6_000 } else { 2_000 * scale.n };
-    // Best-of-N trials, as in E18: a one-core scheduler is noisy enough to
-    // swamp a front-end effect with a single sample; the smoke gate takes an
-    // extra trial since an assertion hangs CI on one unlucky schedule.
-    let trials = if smoke { 3 } else { 2 };
-    let mut json = String::from("{\n  \"experiment\": \"E20\",\n  \"series\": [\n");
-    println!("| dequeuers | baseline el/s | combining el/s | comb/base | skip rate (base → comb) | qindex wait p99 ticks (base → comb) | ops/round p50 | batch p50 |");
-    println!("|----------:|--------------:|---------------:|----------:|------------------------:|------------------------------------:|--------------:|----------:|");
-    let mut first = true;
-    let mut smoke_cell = (0.0f64, 0.0f64, 0.0f64);
-    let mut combining_rates = Vec::new();
-    for &dequeuers in dequeuer_counts {
-        let mut row: Vec<(f64, rrq_obs::Snapshot)> = Vec::new();
-        for combining in [false, true] {
-            let tag = if combining { "comb" } else { "base" };
-            let mut best: Option<(f64, rrq_obs::Snapshot)> = None;
-            for t in 0..trials {
-                let cell = e20_run(
-                    &format!("e20-d{dequeuers}-{tag}-{t}"),
-                    dequeuers,
-                    combining,
-                    elements,
-                );
-                if best.as_ref().is_none_or(|(r, _)| cell.0 > *r) {
-                    best = Some(cell);
-                }
-            }
-            row.push(best.unwrap());
-        }
-        let (base_rate, base) = (&row[0].0, &row[0].1);
-        let (comb_rate, comb) = (&row[1].0, &row[1].1);
-        combining_rates.push(*comb_rate);
-        let (base_skip, comb_skip) = (e20_skip_rate(base), e20_skip_rate(comb));
-        let (base_p99, comb_p99) = (e20_wait_p99(base), e20_wait_p99(comb));
-        let rounds = comb.counter("qm.combine.rounds");
-        let ops_p50 = comb
-            .histogram("qm.combine.ops_per_round")
-            .map(|h| h.quantile(0.5))
-            .unwrap_or(0);
-        let batch_p50 = comb
-            .histogram("qm.combine.batch_size")
-            .map(|h| h.quantile(0.5))
-            .unwrap_or(0);
-        let invalidations = comb.counter("qm.combine.handout_invalidations");
-        if dequeuers == 8 {
-            smoke_cell = (*base_rate, *comb_rate, comb_skip);
-        }
-        println!(
-            "| {dequeuers:>9} | {} | {} | {:>8.2}x | {base_skip:>11.3} → {comb_skip:>7.3} | {base_p99:>17} → {comb_p99:>13} | {ops_p50:>13} | {batch_p50:>9} |",
-            fmt_rate(*base_rate),
-            fmt_rate(*comb_rate),
-            comb_rate / base_rate,
-        );
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        json.push_str(&format!(
-            "    {{\"dequeuers\": {dequeuers}, \"baseline_el_per_sec\": {base_rate:.1}, \"combining_el_per_sec\": {comb_rate:.1}, \"baseline_skip_rate\": {base_skip:.3}, \"combining_skip_rate\": {comb_skip:.3}, \"baseline_qindex_wait_p99_ticks\": {base_p99}, \"combining_qindex_wait_p99_ticks\": {comb_p99}, \"combine_rounds\": {rounds}, \"ops_per_round_p50\": {ops_p50}, \"batch_size_p50\": {batch_p50}, \"handout_invalidations\": {invalidations}}}"
-        ));
-    }
-    json.push_str("\n  ]\n}\n");
-    println!();
-
-    if smoke {
-        // CI gate: at 8 dequeuers combining must beat the baseline drain
-        // rate by 1.2x and hand out disjoint candidates (skip rate under
-        // 0.1 per successful dequeue, where the baseline runs near n−1).
-        let (base, comb, comb_skip) = smoke_cell;
-        assert!(
-            comb >= 1.2 * base,
-            "E20 smoke: combining ({comb:.1} el/s) below 1.2x baseline ({base:.1} el/s) at 8 dequeuers"
-        );
-        assert!(
-            comb_skip < 0.1,
-            "E20 smoke: combining skip rate {comb_skip:.3} not ≈ 0 at 8 dequeuers"
-        );
-        println!("E20 smoke: combining {comb:.1} el/s vs baseline {base:.1} el/s at 8 dequeuers, skip rate {comb_skip:.3} — ok.\n");
-        return;
-    }
-
-    std::fs::write("BENCH_PR8.json", &json).unwrap();
-    println!("Series written to BENCH_PR8.json.\n");
-    let from8 = &combining_rates[3..];
-    let monotone_down = from8.windows(2).all(|w| w[1] < w[0]);
-    if monotone_down {
-        println!(
-            "WARNING: combining el/s still monotone-decreasing over 8 → 64 dequeuers: {from8:?}\n"
-        );
-    }
-}
-
-// ======================================================================
 // E21 — shared-nothing repository partitions: scaling sweep
 // ======================================================================
 
@@ -2417,18 +2234,16 @@ fn e22_fill(repo: &Repository, seed: u64, n: u64, hot_pct: u64, accounts: u32) {
     }
 }
 
-/// Open an E22 repository: best-known locked configuration (flat-combining
-/// dequeues + group commit, PR 8/3) against the planned pool. No simulated
+/// Open an E22 repository: best-known locked configuration (default
+/// skip-locked dequeues + group commit) against the planned pool. No simulated
 /// WAL-force latency: with an expensive force the planned side's one-force-
 /// per-epoch amortization wins everywhere and hides the contention story
 /// this experiment is about. The request queue retries without limit so
 /// deadlock-victim redisposition (the thing being measured at high
 /// contention) never dead-letters an element.
 fn e22_repo(name: &str, mode: rrq_qm::repository::ExecMode) -> Arc<Repository> {
-    use rrq_qm::repository::ExecMode;
     let opts = RepoOptions {
         exec_mode: mode,
-        dequeue_combining: mode == ExecMode::Locked,
         kv: KvOptions {
             sync_on_commit: true,
             group_commit: true,
@@ -2447,10 +2262,10 @@ fn e22_repo(name: &str, mode: rrq_qm::repository::ExecMode) -> Arc<Repository> {
 
 /// Pre-PR control: the same drain on a repository opened through the plain
 /// [`Repository::create`] constructor (all-default options, so the locked
-/// 2PL path exactly as it ran before the `exec_mode` knob existed, without
-/// even the combining front end). The smoke gate holds the knob-opened
-/// locked cell to >= 0.95x of this — if the planned-mode machinery ever
-/// taxed the locked fast path, this is the tripwire.
+/// 2PL path exactly as it ran before the `exec_mode` knob existed). The
+/// smoke gate holds the knob-opened locked cell to >= 0.95x of this — if
+/// the planned-mode machinery ever taxed the locked fast path, this is the
+/// tripwire.
 fn e22_baseline_run(name: &str, seed: u64, n: u64) -> f64 {
     let repo = Arc::new(Repository::create(name).unwrap());
     let mut req = QueueMeta::with_defaults("req");
@@ -2523,7 +2338,7 @@ fn e22_planned_crossover(scale: &Scale, smoke: bool) {
     println!("Eight executors drain a pre-filled request queue of bank");
     println!("transfers; the hot column is the share of transfers confined to");
     println!("two accounts. The locked side is the repo's best 2PL stack");
-    println!("(flat-combining dequeues, group commit): at low contention its");
+    println!("(skip-locked dequeues, group commit): at low contention its");
     println!("servers run fully parallel, and conflicts only tax it as the hot");
     println!("share grows — lock waits, deadlock victims, redispositions. The");
     println!("planned side pays a fixed epoch toll (the serial plan phase, one");
@@ -2581,9 +2396,7 @@ fn e22_planned_crossover(scale: &Scale, smoke: bool) {
             "E22 smoke: planned ({p100:.1} req/s) below 1.2x locked ({l100m:.1} req/s) at 100% hot"
         );
         // Pre-PR regression tripwire, trials interleaved so both sides see
-        // the same machine weather. The knob-opened cell also runs the
-        // combining front end (PR 8), so it holds a structural margin over
-        // the plain pre-PR constructor; 0.95x leaves room for noise only.
+        // the same machine weather.
         let (mut pre, mut knob) = (0.0f64, 0.0f64);
         for t in 0..3u64 {
             pre = pre.max(e22_baseline_run(&format!("e22-pre-{t}"), t, n));

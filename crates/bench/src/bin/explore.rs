@@ -7,7 +7,6 @@
 //! cargo run --release -p rrq-bench --bin explore -- --replay path.rrqs
 //! cargo run --release -p rrq-bench --bin explore -- --scripts 50 --bug
 //! cargo run --release -p rrq-bench --bin explore -- --scripts 200 --wal-partitions 4
-//! cargo run --release -p rrq-bench --bin explore -- --scripts 200 --dequeue-combining
 //! cargo run --release -p rrq-bench --bin explore -- --scripts 200 --repo-partitions 4
 //! cargo run --release -p rrq-bench --bin explore -- --scripts 200 --exec-mode planned
 //! ```
@@ -36,7 +35,6 @@ struct Args {
     replay: Option<PathBuf>,
     bug: Option<InjectedBug>,
     wal_partitions: usize,
-    dequeue_combining: bool,
     repo_partitions: usize,
     exec_mode: ExecMode,
 }
@@ -50,7 +48,6 @@ fn parse_args() -> Result<Args, String> {
         replay: None,
         bug: None,
         wal_partitions: 1,
-        dequeue_combining: false,
         repo_partitions: 1,
         exec_mode: ExecMode::default(),
     };
@@ -69,7 +66,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("{e}"))?
             }
-            "--dequeue-combining" => args.dequeue_combining = true,
             "--repo-partitions" => {
                 args.repo_partitions = val("--repo-partitions")?
                     .parse()
@@ -119,7 +115,6 @@ fn main() -> ExitCode {
         bug: args.bug,
         out_dir: Some(args.out.clone()),
         wal_partitions: args.wal_partitions,
-        dequeue_combining: args.dequeue_combining,
         repo_partitions: args.repo_partitions,
         exec_mode: args.exec_mode,
         ..ExplorerConfig::default()

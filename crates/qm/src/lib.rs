@@ -30,7 +30,6 @@
 //! made in the same transaction — the property every protocol in the paper
 //! leans on.
 
-pub mod combine;
 pub mod element;
 pub mod error;
 pub mod keys;

@@ -28,7 +28,6 @@
 //! Blocking dequeue on an empty queue uses the [`crate::notify`] versioning
 //! — the paper's "notify lock".
 
-use crate::combine::Dispenser;
 use crate::element::{Eid, Element, Priority};
 use crate::error::{QmError, QmResult};
 use crate::keys;
@@ -184,13 +183,6 @@ pub struct QueueManager {
     /// When false, dequeue and depth fall back to paging the element
     /// keyspace (the pre-index path, kept for benchmarks and verification).
     use_index: AtomicBool,
-    /// Flat-combining front end for the ready index (DESIGN.md §24): one
-    /// combiner drains the BTreeMap per round and hands disjoint candidate
-    /// batches to every concurrently publishing dequeuer.
-    dispenser: Dispenser,
-    /// When true (and `use_index`), skip-locked non-predicate dequeues go
-    /// through the dispenser instead of each paging the index themselves.
-    use_combining: AtomicBool,
     /// Ids for internal system transactions (registration writes, abort-count
     /// maintenance). High floor keeps them disjoint from user transactions.
     sys_ids: TxnIdGen,
@@ -296,8 +288,6 @@ impl QueueManager {
                 .into_boxed_slice(),
             qindex,
             use_index: AtomicBool::new(true),
-            dispenser: Dispenser::new(),
-            use_combining: AtomicBool::new(false),
             sys_ids,
             epoch,
             counter: AtomicU64::new(0),
@@ -472,7 +462,6 @@ impl QueueManager {
         });
         if r.is_ok() {
             self.qindex.clear_queue(queue);
-            self.dispenser.forget_queue(queue);
         }
         r
     }
@@ -688,18 +677,7 @@ impl QueueManager {
     ) -> QmResult<Option<Element>> {
         if self.use_index.load(Ordering::Acquire) {
             rrq_obs::counter_inc("qm.dequeue.index_hits");
-            // The combining front end covers the storm case E17 measured:
-            // many skip-locked dequeuers racing on one queue. Strict-FIFO
-            // blocks on the head by design and predicate dequeues filter
-            // requester-side, so both keep the direct index path.
-            if self.use_combining.load(Ordering::Acquire)
-                && meta.mode == OrderingMode::SkipLocked
-                && opts.predicate.is_none()
-            {
-                self.try_dequeue_once_combined(txn, handle, meta, opts, deadline)
-            } else {
-                self.try_dequeue_once_indexed(txn, handle, meta, opts, deadline)
-            }
+            self.try_dequeue_once_indexed(txn, handle, meta, opts, deadline)
         } else {
             rrq_obs::counter_inc("qm.dequeue.scan_fallbacks");
             self.try_dequeue_once_scan(txn, handle, meta, opts, deadline)
@@ -883,107 +861,6 @@ impl QueueManager {
                 // Own enqueues at or below `hi` were already considered, so
                 // the cursor advances on the index's own pagination.
                 after = hi;
-            }
-        }
-    }
-
-    /// Candidate selection through the flat-combining dispenser (DESIGN.md
-    /// §24): publish a request slot, let the single combiner drain the ready
-    /// index once for every concurrently publishing dequeuer, and grab only
-    /// the disjoint candidates handed to this slot. Own uncommitted enqueues
-    /// are merged requester-side exactly as the direct index path does (they
-    /// are invisible to the committed-only index, hence to the combiner).
-    fn try_dequeue_once_combined(
-        &self,
-        txn: u64,
-        handle: &QueueHandle,
-        meta: &QueueMeta,
-        opts: &DequeueOptions,
-        deadline: Option<Instant>,
-    ) -> QmResult<Option<Element>> {
-        let store = self.store_for(meta);
-        let ns = self.ns_of(&meta.name);
-        // This transaction's own uncommitted overlay for the queue.
-        let (own_enq, own_deq) = {
-            let g = self.pending_shard(txn);
-            match g.get(&txn) {
-                None => (Vec::new(), HashSet::new()),
-                Some(p) => {
-                    let mut enq: Vec<(Vec<u8>, Eid)> = p
-                        .enqueued
-                        .iter()
-                        .filter(|e| e.queue == meta.name)
-                        .map(|e| (e.elem_key.clone(), e.eid))
-                        .collect();
-                    enq.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    let deq: HashSet<Vec<u8>> =
-                        p.dequeued.iter().map(|d| d.elem_key.clone()).collect();
-                    (enq, deq)
-                }
-            }
-        };
-        // Keys this pass already tried and failed on, plus own uncommitted
-        // dequeues: excluded from later handouts so a re-request advances
-        // past them instead of spinning on the same stale candidate.
-        let mut tried: HashSet<Vec<u8>> = own_deq;
-        loop {
-            let handout = self.dispenser.request(&self.qindex, &meta.name, 1, &tried);
-            // Merge own enqueues (invisible to the index) in key order so
-            // priority-then-FIFO holds across committed and own-pending
-            // elements.
-            let mut cands: Vec<(&Vec<u8>, Eid)> =
-                handout.candidates.iter().map(|(k, e)| (k, *e)).collect();
-            for (k, eid) in &own_enq {
-                if !tried.contains(k) {
-                    cands.push((k, *eid));
-                }
-            }
-            cands.sort_unstable_by(|a, b| a.0.cmp(b.0));
-            cands.dedup_by(|a, b| a.0 == b.0);
-            let mut taken: Option<Element> = None;
-            let mut grab_err: Option<QmError> = None;
-            let mut consumed: Option<Vec<u8>> = None;
-            for (ekey, _) in &cands {
-                match self.grab_element(txn, handle, meta, opts, deadline, ns, store, ekey) {
-                    Ok(Grab::Taken(e)) => {
-                        consumed = Some((*ekey).clone());
-                        taken = Some(e);
-                        break;
-                    }
-                    // Stale, tombstoned, or locked by a non-combining path:
-                    // record and move on, exactly as skip-locked always has.
-                    Ok(_) => {
-                        tried.insert((*ekey).clone());
-                    }
-                    Err(e) => {
-                        grab_err = Some(e);
-                        break;
-                    }
-                }
-            }
-            // Clear the handed marks for everything this slot did not take
-            // — on every exit path, including errors. The taken key stays
-            // marked until the commit/abort/kill that mutates its index
-            // entry invalidates it, so no other round can re-dispense an
-            // element whose taker still holds the element lock.
-            let unconsumed: Vec<Vec<u8>> = handout
-                .candidates
-                .iter()
-                .map(|(k, _)| k.clone())
-                .filter(|k| consumed.as_ref() != Some(k))
-                .collect();
-            self.dispenser.release(&meta.name, &unconsumed);
-            if let Some(e) = grab_err {
-                return Err(e);
-            }
-            if let Some(e) = taken {
-                return Ok(Some(e));
-            }
-            if handout.exhausted {
-                // The combiner ran the index dry for this slot's exclusions:
-                // nothing is available right now — same answer the direct
-                // skip-locked pass gives after paging to the tail.
-                return Ok(None);
             }
         }
     }
@@ -1180,7 +1057,6 @@ impl QueueManager {
                     let killed = r?;
                     if killed {
                         self.qindex.remove(&queue, &ekey);
-                        self.dispenser.invalidate(&queue, &ekey);
                         rrq_obs::counter_inc("qm.element.dropped");
                         self.stats.lock().kills += 1;
                     }
@@ -1266,19 +1142,6 @@ impl QueueManager {
         self.use_index.load(Ordering::Acquire)
     }
 
-    /// Toggle the flat-combining dequeue front end (DESIGN.md §24). Clears
-    /// all combining state on either transition so handed-out marks from a
-    /// previous mode can never shadow live index entries.
-    pub fn set_dequeue_combining(&self, on: bool) {
-        self.dispenser.clear();
-        self.use_combining.store(on, Ordering::Release);
-    }
-
-    /// Whether skip-locked dequeues go through the combining dispenser.
-    pub fn dequeue_combining(&self) -> bool {
-        self.use_combining.load(Ordering::Acquire)
-    }
-
     /// Mark `txn` as a planned-epoch member: its commit defers durability
     /// (the WAL force) and the index/notification mirror to the next
     /// [`QueueManager::apply_epoch`]. Call right after enlisting the queue
@@ -1319,7 +1182,6 @@ impl QueueManager {
         );
         rrq_obs::counter_add("qm.enqueue.committed", pend.enqueued.len() as u64);
         for dq in &pend.dequeued {
-            self.dispenser.invalidate(&dq.queue, &dq.elem_key);
             rrq_obs::counter_inc("qm.dequeue.committed");
             rrq_obs::observe(
                 "qm.element.lock_hold_ticks",
@@ -1702,12 +1564,6 @@ impl QueueManager {
                         self.notifier.signal(&d.queue);
                     }
                 }
-                // Every arm retired the dequeuer's claim on the old key, so
-                // its handed-out mark (if the combining front end dispensed
-                // it) falls with it — `Returned` re-inserts the *same* key,
-                // which without this would stay shadowed and never be
-                // dispensed again.
-                self.dispenser.invalidate(&d.queue, &d.elem_key);
                 rrq_obs::observe(
                     "qm.element.lock_hold_ticks",
                     rrq_obs::now().saturating_sub(d.grabbed_at),

@@ -153,8 +153,8 @@ pub enum ExecMode {
     /// per-key access queues in priority order, and the execute phase runs
     /// them lock-free — transactions commit speculatively (visible at
     /// once, durable at the epoch force) and the queue index applies in
-    /// one batch at epoch close. Requires `dequeue_combining: false`; the
-    /// planner replaces the dispenser as the dequeue arbiter.
+    /// one batch at epoch close. Requires `repo_partitions: 1`; the epoch
+    /// force covers only the home partition's log.
     Planned,
 }
 
@@ -175,11 +175,6 @@ pub struct RepoOptions {
     /// Number of per-shard WAL partitions (clamped to
     /// `1..=`[`MAX_WAL_PARTITIONS`]). `1` is the exact single-log baseline.
     pub wal_partitions: usize,
-    /// Route skip-locked dequeues through the flat-combining front end
-    /// (DESIGN.md §24): one combiner drains the ready index per round and
-    /// hands disjoint candidates to every concurrent dequeuer. `false` is
-    /// the per-queue-mutex baseline E20 measures against.
-    pub dequeue_combining: bool,
     /// Number of shared-nothing repository partitions (clamped to
     /// `1..=`[`MAX_REPO_PARTITIONS`]). Each owns the queues that hash to it
     /// plus its own store, WAL group, and lock manager; `1` is the exact
@@ -188,7 +183,7 @@ pub struct RepoOptions {
     /// Request execution mode. [`ExecMode::Locked`] (the default) is the
     /// exact 2PL baseline; [`ExecMode::Planned`] enables the epoch
     /// planner's lock-free path and is rejected when combined with
-    /// `dequeue_combining` (both arbitrate dequeue candidates).
+    /// `repo_partitions > 1` (the epoch force covers one partition).
     pub exec_mode: ExecMode,
 }
 
@@ -199,7 +194,6 @@ impl Default for RepoOptions {
             kv: KvOptions::default(),
             wal_sync_latency: None,
             wal_partitions: 1,
-            dequeue_combining: false,
             repo_partitions: 1,
             exec_mode: ExecMode::default(),
         }
@@ -286,18 +280,6 @@ impl Repository {
         let wal_partitions = opts.wal_partitions.clamp(1, MAX_WAL_PARTITIONS);
         let repo_partitions = opts.repo_partitions.clamp(1, MAX_REPO_PARTITIONS);
 
-        // The flat-combining dispenser and the epoch planner are both
-        // dequeue-candidate arbiters; planned execution bypasses the
-        // dispenser entirely, so composing them would silently disable one.
-        // Reject the combination up front (DESIGN.md §26).
-        if opts.dequeue_combining && opts.exec_mode == ExecMode::Planned {
-            return Err(QmError::IncompatibleOptions(
-                "dequeue_combining cannot be used with ExecMode::Planned \
-                 (the epoch plan, not the dispenser, arbitrates dequeues)"
-                    .into(),
-            ));
-        }
-
         // A planned transaction defers its home partition's WAL force to the
         // epoch close, but a sibling partition enlisted for a cross-partition
         // reply commits (and syncs) immediately — a crash inside the commit
@@ -368,7 +350,6 @@ impl Repository {
                 opts.shards,
                 crate::route::epoch_band_base(p),
             )?;
-            qm.set_dequeue_combining(opts.dequeue_combining);
             parts.push((RepoPartition { qm, tm, store }, report));
         }
 

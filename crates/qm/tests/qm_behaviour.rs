@@ -867,11 +867,19 @@ fn many_concurrent_producers_and_consumers_lose_nothing() {
         .into_iter()
         .flat_map(|c| c.join().unwrap())
         .collect();
+    let consumed = all.len();
     all.sort();
     all.dedup();
+    assert_eq!(
+        all.len(),
+        consumed,
+        "an element was handed to two consumers"
+    );
     assert_eq!(
         all.len(),
         n_producers * per_producer,
         "every element consumed exactly once"
     );
+    assert_eq!(r.qm().depth("q").unwrap(), 0);
+    assert_eq!(r.qm().index_divergence().unwrap(), None);
 }

@@ -90,10 +90,6 @@ pub struct ExplorerConfig {
     /// WAL partitions the server node runs with (1 = the monolithic log).
     /// Scripted per-log tears only bite when this is above one.
     pub wal_partitions: usize,
-    /// Run the server's dequeues through the flat-combining front end
-    /// (DESIGN.md §24). Persists across scripted crashes, so recovery
-    /// re-opens with combining still on — the crash-mid-combine case.
-    pub dequeue_combining: bool,
     /// Shared-nothing repository partitions (DESIGN.md S25). Above one, the
     /// node serves one RPC endpoint per partition, the clerk routes through
     /// [`RoutedQm`], `repo-crash` events strike a single partition's
@@ -113,7 +109,6 @@ impl Default for ExplorerConfig {
             bug: None,
             out_dir: None,
             wal_partitions: 1,
-            dequeue_combining: false,
             repo_partitions: 1,
             exec_mode: ExecMode::default(),
         }
@@ -371,7 +366,6 @@ pub fn run_script_with(
     let parts = cfg.repo_partitions.clamp(1, MAX_REPO_PARTITIONS);
     node.set_repo_options(RepoOptions {
         wal_partitions: cfg.wal_partitions,
-        dequeue_combining: cfg.dequeue_combining,
         repo_partitions: parts,
         exec_mode: cfg.exec_mode,
         ..RepoOptions::default()

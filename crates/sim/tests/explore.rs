@@ -224,6 +224,24 @@ fn checked_in_minimal_script_reproduces_the_seeded_bug() {
     );
 }
 
+/// The checked-in crash-mid-dequeue script: three server crashes (one clean,
+/// two with torn WAL tails) while skip-locked dequeuers are in flight.
+/// Recovery rebuilds the ready index from storage, and the whole oracle
+/// battery (exactly-once effects, reply matching, money conservation,
+/// metrics conservation) must stay green.
+#[test]
+fn checked_in_crash_mid_dequeue_script_stays_green() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/crash-mid-dequeue.rrqs");
+    let (script, outcome) = explorer::replay_file(&path, &ExplorerConfig::default()).unwrap();
+    assert_eq!(script.events.len(), 3, "script should carry three crashes");
+    assert_eq!(
+        outcome.violations,
+        Vec::<String>::new(),
+        "oracle battery must stay green across crash-mid-dequeue; trace:\n{:#?}",
+        outcome.trace
+    );
+}
+
 #[test]
 fn double_count_bug_is_caught_by_metrics_oracle_and_shrinks() {
     // The bug doubles a counter, nothing else: every client-visible oracle

@@ -45,6 +45,10 @@ impl Held {
     /// class already held by this thread ranks strictly below it.
     #[inline]
     pub fn acquire(class: GuardClass) -> Held {
+        // Release builds keep no per-thread record; `class` is checked only
+        // under debug assertions.
+        #[cfg(not(debug_assertions))]
+        let _ = class;
         #[cfg(debug_assertions)]
         HELD.with(|held| {
             let mut held = held.borrow_mut();
