@@ -25,6 +25,16 @@ cargo build --release
 echo "== cargo test"
 cargo test -q --release
 
+echo "== rrqbench unit tests (the benchmark's checker and statistics)"
+cargo test --release --offline --manifest-path rrqbench/Cargo.toml
+
+echo "== rrqbench remote_open smoke (exactly-once and money audits over RPC)"
+# Gates on the exit code only: the checker exits 1 on any audit violation
+# (a lost, duplicated or mismatched reply, or money not conserved). The
+# timings it prints are not gated here.
+cargo run --release --offline --manifest-path rrqbench/Cargo.toml -- \
+  --workload remote_open --seed 1 --seconds 3 --trace 0
+
 echo "== E18 contention smoke (striped vs single-mutex at 4 workers)"
 # Asserts striped throughput is no worse than the shards=1 baseline on the
 # shared-queue bank workload (full sweep: experiments -- e18).

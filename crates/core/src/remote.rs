@@ -15,13 +15,22 @@
 //!   enqueue is discovered by the client's Receive timing out, followed by
 //!   connect-time resynchronization.
 //!
-//! Blocking dequeues are client-driven: the server answers "empty"
-//! immediately and the remote client polls until its deadline, so one slow
-//! client never stalls the QM's RPC loop.
+//! Blocking dequeues park at the QM (§10's notify lock, served over RPC).
+//! A `Dequeue` carries a server-side wait window. The RPC thread tries the
+//! dequeue at once, so a backlog is served with no extra hop. When the
+//! queue is empty and the window is open, it hands the call to a waiter
+//! thread the server owns. The waiter sleeps on the queue's availability
+//! version and answers the moment an element commits, or `Empty` when the
+//! window closes. The RPC loop itself never blocks, so one slow client
+//! never stalls the enqueues behind it. [`RemoteQm`] keeps each window
+//! below its RPC timeout and asks again at once on `Empty` until the
+//! caller's deadline passes: a receive costs one RPC, not a poll per tick.
+//! Dropping the server's guard stops and joins every waiter.
 
 use crate::api::QmApi;
 use crate::error::{CoreError, CoreResult};
-use rrq_net::rpc::{spawn_server, RpcClient, ServerGuard};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use rrq_net::rpc::{spawn_server, Answer, Responder, RpcClient, ServerGuard};
 use rrq_net::NetworkBus;
 use rrq_qm::element::{Eid, Element};
 use rrq_qm::ops::{DequeueOptions, EnqueueOptions, QueueHandle};
@@ -29,7 +38,9 @@ use rrq_qm::registration::Registration;
 use rrq_qm::repository::Repository;
 use rrq_qm::QmError;
 use rrq_storage::codec::{put, Decode, Encode, Reader};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const OP_REGISTER: u8 = 1;
@@ -43,6 +54,11 @@ const OP_DEPTH: u8 = 7;
 const ST_OK: u8 = 0;
 const ST_ERR: u8 = 1;
 const ST_EMPTY: u8 = 2;
+
+/// How often a parked waiter checks whether its server is stopping. These
+/// wake-ups only read the queue's availability version; a transaction
+/// opens only once the version moves.
+const STOP_CHECK: Duration = Duration::from_millis(50);
 
 fn encode_enqueue_opts(buf: &mut Vec<u8>, opts: &EnqueueOptions) {
     put::u8(buf, opts.priority);
@@ -100,13 +116,144 @@ impl QmRpcServer {
         repo: Arc<Repository>,
         scope: Option<usize>,
     ) -> ServerGuard {
+        let mut waiters = Waiters::new(Arc::clone(&repo));
+        let reply_bus = bus.clone();
         spawn_server(bus, endpoint_name, move |env| {
-            handle(&repo, scope, &env.payload).unwrap_or_else(|e| {
-                let mut out = vec![ST_ERR];
-                put::string(&mut out, &e.to_string());
-                out
-            })
+            match handle(&repo, scope, &env.payload) {
+                Ok(Served::Reply(out)) => Answer::Now(out),
+                Ok(Served::Park(p)) => {
+                    waiters.park(p, Responder::new(&reply_bus, env));
+                    Answer::Later
+                }
+                Err(e) => Answer::Now(err_payload(&e)),
+            }
         })
+    }
+}
+
+/// What the RPC thread does with one request.
+enum Served {
+    /// Answer now.
+    Reply(Vec<u8>),
+    /// A dequeue found its queue empty with its wait window open: hand it
+    /// to a waiter.
+    Park(Parked),
+}
+
+/// A dequeue waiting at the server for its queue to gain an element.
+struct Parked {
+    handle: QueueHandle,
+    tag: Option<Vec<u8>>,
+    error_queue: Option<String>,
+    /// The queue's availability version, sampled before the attempt that
+    /// found it empty: an element committed since then has moved it.
+    seen: u64,
+    deadline: Instant,
+}
+
+/// The server's waiter threads. Each waits out one parked dequeue at a
+/// time, then takes the next; a thread is added only when none is idle.
+/// Dropping the pool stops and joins every thread, so no waiter outlives
+/// its server or keeps the repository alive past it.
+struct Waiters {
+    repo: Arc<Repository>,
+    jobs: Option<Sender<(Parked, Responder)>>,
+    queue: Receiver<(Parked, Responder)>,
+    /// Threads waiting for a job (or on their way back to wait) that no
+    /// parked call has claimed yet.
+    idle: Arc<AtomicUsize>,
+    stop: Arc<AtomicBool>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Waiters {
+    fn new(repo: Arc<Repository>) -> Self {
+        let (jobs, queue) = unbounded();
+        Waiters {
+            repo,
+            jobs: Some(jobs),
+            queue,
+            idle: Arc::new(AtomicUsize::new(0)),
+            stop: Arc::new(AtomicBool::new(false)),
+            threads: Vec::new(),
+        }
+    }
+
+    /// Hand `p` to an idle waiter, or to a new one when every waiter is
+    /// busy: a parked call never queues behind another.
+    fn park(&mut self, p: Parked, reply: Responder) {
+        let claimed = self
+            .idle
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+            .is_ok();
+        if !claimed {
+            let (repo, queue) = (Arc::clone(&self.repo), self.queue.clone());
+            let (idle, stop) = (Arc::clone(&self.idle), Arc::clone(&self.stop));
+            self.threads
+                .push(crate::threads::spawn_named("qm-rpc-waiter", move || {
+                    while let Ok((p, reply)) = queue.recv() {
+                        let out = wait_out(&repo, p, &stop).unwrap_or_else(|e| err_payload(&e));
+                        let _ = reply.send(out);
+                        idle.fetch_add(1, Ordering::AcqRel);
+                    }
+                }));
+        }
+        rrq_obs::counter_inc("core.remote.parked");
+        if let Some(jobs) = &self.jobs {
+            let _ = jobs.send((p, reply));
+        }
+    }
+}
+
+impl Drop for Waiters {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        self.jobs = None; // idle waiters see the channel close
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+    }
+}
+
+/// Wait out one parked dequeue: sleep on the queue's availability version
+/// and try again only once it moves. Answers `Empty` when the window
+/// closes or the server stops.
+fn wait_out(repo: &Repository, mut p: Parked, stop: &AtomicBool) -> CoreResult<Vec<u8>> {
+    let qm = repo.qm_for(&p.handle.queue);
+    loop {
+        let now = Instant::now();
+        if now >= p.deadline || stop.load(Ordering::Acquire) {
+            return Ok(vec![ST_EMPTY]);
+        }
+        let slice = (p.deadline - now).min(STOP_CHECK);
+        if qm.wait_available(&p.handle.queue, p.seen, slice) {
+            p.seen = qm.availability(&p.handle.queue);
+            if let Some(elem) = dequeue_now(repo, &p)? {
+                return Ok(element_payload(&elem));
+            }
+        }
+    }
+}
+
+/// One non-blocking autocommit dequeue; `None` when the queue is empty.
+fn dequeue_now(repo: &Repository, p: &Parked) -> CoreResult<Option<Element>> {
+    let q = &p.handle.queue;
+    let res = repo.autocommit_on(q, |t| {
+        repo.qm_for(q).dequeue(
+            t.id().raw(),
+            &p.handle,
+            DequeueOptions {
+                tag: p.tag.clone(),
+                predicate: None,
+                block: None,
+                error_queue: p.error_queue.clone(),
+            },
+        )
+    });
+    match res {
+        Ok(elem) => Ok(Some(elem)),
+        Err(QmError::Empty(_)) => Ok(None),
+        Err(e) => Err(e.into()),
     }
 }
 
@@ -123,13 +270,25 @@ fn check_scope(repo: &Repository, scope: Option<usize>, queue: &str) -> CoreResu
     Ok(())
 }
 
-fn ok_payload(body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+fn ok_payload(body: impl FnOnce(&mut Vec<u8>)) -> Served {
     let mut out = vec![ST_OK];
     body(&mut out);
+    Served::Reply(out)
+}
+
+fn element_payload(elem: &Element) -> Vec<u8> {
+    let mut out = vec![ST_OK];
+    elem.encode(&mut out);
     out
 }
 
-fn handle(repo: &Repository, scope: Option<usize>, raw: &[u8]) -> CoreResult<Vec<u8>> {
+fn err_payload(e: &CoreError) -> Vec<u8> {
+    let mut out = vec![ST_ERR];
+    put::string(&mut out, &e.to_string());
+    out
+}
+
+fn handle(repo: &Repository, scope: Option<usize>, raw: &[u8]) -> CoreResult<Served> {
     if raw.is_empty() {
         return Err(CoreError::Malformed("empty rpc payload".into()));
     }
@@ -173,24 +332,19 @@ fn handle(repo: &Repository, scope: Option<usize>, raw: &[u8]) -> CoreResult<Vec
                 0 => None,
                 _ => Some(r.string().map_err(m)?),
             };
+            let wait = Duration::from_micros(r.u64().map_err(m)?);
             check_scope(repo, scope, &queue)?;
-            let h = QueueHandle { queue, registrant };
-            let res = repo.autocommit_on(&h.queue, |t| {
-                repo.qm_for(&h.queue).dequeue(
-                    t.id().raw(),
-                    &h,
-                    DequeueOptions {
-                        tag,
-                        predicate: None,
-                        block: None, // remote blocking is client-side polling
-                        error_queue,
-                    },
-                )
-            });
-            match res {
-                Ok(elem) => Ok(ok_payload(|out| elem.encode(out))),
-                Err(QmError::Empty(_)) => Ok(vec![ST_EMPTY]),
-                Err(e) => Err(e.into()),
+            let p = Parked {
+                seen: repo.qm_for(&queue).availability(&queue),
+                handle: QueueHandle { queue, registrant },
+                tag,
+                error_queue,
+                deadline: Instant::now() + wait,
+            };
+            match dequeue_now(repo, &p)? {
+                Some(elem) => Ok(Served::Reply(element_payload(&elem))),
+                None if !wait.is_zero() => Ok(Served::Park(p)),
+                None => Ok(Served::Reply(vec![ST_EMPTY])),
             }
         }
         OP_READ => {
@@ -238,7 +392,6 @@ pub struct RemoteQm {
     client: RpcClient,
     server: String,
     rpc_timeout: Duration,
-    poll_interval: Duration,
 }
 
 impl RemoteQm {
@@ -249,7 +402,6 @@ impl RemoteQm {
             client: RpcClient::new(bus, client_endpoint),
             server: server_endpoint.to_string(),
             rpc_timeout: Duration::from_secs(2),
-            poll_interval: Duration::from_millis(20),
         }
     }
 
@@ -265,7 +417,11 @@ impl RemoteQm {
     }
 
     fn call(&self, payload: Vec<u8>) -> CoreResult<Vec<u8>> {
-        let resp = self.client.call(&self.server, payload, self.rpc_timeout)?;
+        self.call_within(payload, self.rpc_timeout)
+    }
+
+    fn call_within(&self, payload: Vec<u8>, timeout: Duration) -> CoreResult<Vec<u8>> {
+        let resp = self.client.call(&self.server, payload, timeout)?;
         parse_response(resp)
     }
 }
@@ -339,6 +495,13 @@ impl QmApi for RemoteQm {
     fn dequeue(&self, queue: &str, registrant: &str, opts: DequeueOptions) -> CoreResult<Element> {
         let deadline = opts.block.map(|b| Instant::now() + b);
         loop {
+            // The server may park the call for `wait`; half the RPC timeout
+            // at most, so a parked call always answers before the caller
+            // gives up on it.
+            let wait = deadline.map_or(Duration::ZERO, |dl| {
+                dl.saturating_duration_since(Instant::now())
+                    .min(self.rpc_timeout / 2)
+            });
             let mut buf = vec![OP_DEQUEUE];
             put::string(&mut buf, queue);
             put::string(&mut buf, registrant);
@@ -350,17 +513,17 @@ impl QmApi for RemoteQm {
                     put::string(&mut buf, q);
                 }
             }
-            match self.call(buf) {
+            put::u64(&mut buf, wait.as_micros() as u64);
+            match self.call_within(buf, self.rpc_timeout + wait) {
                 Ok(resp) => {
                     return Element::decode_all(&resp)
                         .map_err(|e| CoreError::Malformed(e.to_string()))
                 }
-                Err(CoreError::Qm(QmError::Empty(_))) => match deadline {
-                    Some(dl) if Instant::now() < dl => {
-                        std::thread::sleep(self.poll_interval);
-                    }
-                    _ => return Err(CoreError::Qm(QmError::Empty(queue.to_string()))),
-                },
+                Err(CoreError::Qm(QmError::Empty(_)))
+                    if deadline.is_some_and(|dl| Instant::now() < dl) => {}
+                Err(CoreError::Qm(QmError::Empty(_))) => {
+                    return Err(CoreError::Qm(QmError::Empty(queue.to_string())))
+                }
                 Err(e) => return Err(e),
             }
         }
@@ -427,8 +590,17 @@ mod tests {
         ));
     }
 
+    fn blocking(block: Duration) -> DequeueOptions {
+        DequeueOptions {
+            block: Some(block),
+            ..Default::default()
+        }
+    }
+
+    /// The receive parks at the server and is answered by the commit: one
+    /// RPC, no polls.
     #[test]
-    fn remote_blocking_dequeue_polls_until_available() {
+    fn remote_blocking_dequeue_wakes_on_enqueue() {
         let (_bus, repo, _guard, remote) = setup();
         remote.register("q", "c", false).unwrap();
         let repo2 = Arc::clone(&repo);
@@ -443,18 +615,76 @@ mod tests {
                 })
                 .unwrap();
         });
+        let calls0 = remote.message_counts().0;
         let e = remote
-            .dequeue(
-                "q",
-                "c",
-                DequeueOptions {
-                    block: Some(Duration::from_secs(5)),
-                    ..Default::default()
-                },
-            )
+            .dequeue("q", "c", blocking(Duration::from_secs(5)))
             .unwrap();
         assert_eq!(e.payload, b"late");
+        assert_eq!(remote.message_counts().0, calls0 + 1, "one RPC per receive");
         t.join().unwrap();
+    }
+
+    /// A parked dequeue does not hold up the RPC loop: an enqueue from
+    /// another endpoint returns at once, and its element goes to the
+    /// parked caller.
+    #[test]
+    fn parked_dequeue_does_not_delay_enqueue() {
+        let (bus, _repo, _guard, remote) = setup();
+        remote.register("q", "c", false).unwrap();
+        let waiter =
+            std::thread::spawn(move || remote.dequeue("q", "c", blocking(Duration::from_secs(5))));
+        std::thread::sleep(Duration::from_millis(50)); // let the dequeue park
+        let producer = RemoteQm::new(&bus, "producer", "qm");
+        let t0 = Instant::now();
+        producer.register("q", "p", false).unwrap();
+        let eid = producer
+            .enqueue("q", "p", b"handed-over", EnqueueOptions::default())
+            .unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "enqueue stalled behind the parked dequeue: {:?}",
+            t0.elapsed()
+        );
+        let e = waiter.join().unwrap().unwrap();
+        assert_eq!((e.eid, e.payload.as_slice()), (eid, &b"handed-over"[..]));
+    }
+
+    /// A block longer than the RPC timeout is served as several parked
+    /// calls, each answered before its own timeout: the caller sees
+    /// `Empty` at its deadline, never a network timeout.
+    #[test]
+    fn block_past_rpc_timeout_reports_empty_not_timeout() {
+        let (_bus, _repo, _guard, mut remote) = setup();
+        remote.set_rpc_timeout(Duration::from_millis(100));
+        remote.register("q", "c", false).unwrap();
+        let t0 = Instant::now();
+        let r = remote.dequeue("q", "c", blocking(Duration::from_millis(500)));
+        assert!(
+            matches!(r, Err(CoreError::Qm(QmError::Empty(_)))),
+            "got {r:?}"
+        );
+        assert!(t0.elapsed() >= Duration::from_millis(500));
+    }
+
+    /// Shutting the server down stops and joins its parked waiters: the
+    /// drop is prompt, and nothing but the caller holds the repository.
+    #[test]
+    fn dropping_guard_joins_parked_waiters() {
+        let (_bus, repo, guard, mut remote) = setup();
+        remote.set_rpc_timeout(Duration::from_secs(1));
+        remote.register("q", "c", false).unwrap();
+        let _caller = std::thread::spawn(move || {
+            let _ = remote.dequeue("q", "c", blocking(Duration::from_millis(400)));
+        });
+        std::thread::sleep(Duration::from_millis(50)); // let the dequeue park
+        let t0 = Instant::now();
+        drop(guard);
+        assert!(
+            t0.elapsed() < Duration::from_millis(200),
+            "shutdown took {:?}",
+            t0.elapsed()
+        );
+        assert_eq!(Arc::strong_count(&repo), 1, "a waiter outlived the server");
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::faults::{FaultPlan, Verdict};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,7 +28,7 @@ pub struct Envelope {
 struct BusInner {
     endpoints: Mutex<HashMap<String, Sender<Envelope>>>,
     faults: FaultPlan,
-    delivered: Mutex<u64>,
+    delivered: AtomicU64,
 }
 
 /// The shared network. Cheap to clone.
@@ -43,7 +44,7 @@ impl NetworkBus {
             inner: Arc::new(BusInner {
                 endpoints: Mutex::new(HashMap::new()),
                 faults: FaultPlan::new(seed),
-                delivered: Mutex::new(0),
+                delivered: AtomicU64::new(0),
             }),
         }
     }
@@ -55,7 +56,7 @@ impl NetworkBus {
 
     /// Messages successfully delivered so far.
     pub fn delivered_count(&self) -> u64 {
-        *self.inner.delivered.lock()
+        self.inner.delivered.load(Ordering::Acquire)
     }
 
     /// Create (or replace) an endpoint. Replacing models a process restart:
@@ -105,13 +106,13 @@ impl NetworkBus {
         };
         if delay.is_zero() {
             let _ = tx.send(env);
-            *self.inner.delivered.lock() += 1;
+            self.inner.delivered.fetch_add(1, Ordering::AcqRel);
         } else {
             let bus = self.clone();
             std::thread::spawn(move || {
                 std::thread::sleep(delay);
                 let _ = tx.send(env);
-                *bus.inner.delivered.lock() += 1;
+                bus.inner.delivered.fetch_add(1, Ordering::AcqRel);
             });
         }
         Ok(())

@@ -5,6 +5,11 @@
 //! the §5 optimization where `Send` forgoes the enqueue acknowledgement —
 //! "this saves a message from the QM to the client in the common case that
 //! the reply arrives within the client's timeout period".
+//!
+//! A server handler answers each request either [`Answer::Now`], from the
+//! serving loop, or [`Answer::Later`]: it keeps a [`Responder`] for the
+//! request and replies through it from another thread, so a request that
+//! must wait never stalls the loop for the requests behind it.
 
 use crate::bus::{Endpoint, Envelope, NetworkBus};
 use crate::error::{NetError, NetResult};
@@ -17,8 +22,9 @@ use std::time::{Duration, Instant};
 pub struct RpcClient {
     endpoint: Endpoint,
     next_corr: AtomicU64,
-    /// Counters: (calls, one_way_sends, retries).
+    /// RPC calls issued (see [`RpcClient::counts`]).
     calls: AtomicU64,
+    /// One-way sends issued.
     one_ways: AtomicU64,
 }
 
@@ -77,8 +83,64 @@ impl RpcClient {
     }
 }
 
-/// Server half: receives requests on its endpoint and replies through the
-/// handler's return value.
+/// How a server handler answers one request.
+pub enum Answer {
+    /// Reply with this payload now, from the serving loop.
+    Now(Vec<u8>),
+    /// The handler kept a [`Responder`] for the request and replies through
+    /// it later, possibly from another thread.
+    Later,
+}
+
+impl From<Vec<u8>> for Answer {
+    fn from(payload: Vec<u8>) -> Self {
+        Answer::Now(payload)
+    }
+}
+
+/// The reply path of one request, detached from the serving loop.
+pub struct Responder {
+    bus: NetworkBus,
+    from: String,
+    to: String,
+    correlation: u64,
+}
+
+impl Responder {
+    /// The reply path for `request`, received on `bus`.
+    pub fn new(bus: &NetworkBus, request: &Envelope) -> Self {
+        Responder {
+            bus: bus.clone(),
+            from: request.to.clone(),
+            to: request.from.clone(),
+            correlation: request.correlation,
+        }
+    }
+
+    /// Send the reply. One-way requests (correlation 0) get none.
+    pub fn send(self, payload: Vec<u8>) -> NetResult<()> {
+        if self.correlation == 0 {
+            return Ok(());
+        }
+        match self.bus.send(Envelope {
+            from: self.from,
+            to: self.to,
+            correlation: self.correlation,
+            is_reply: true,
+            payload,
+        }) {
+            // A reply that can't reach the caller (fail-fast partition, or
+            // the caller's endpoint restarted away) is a lost message, not a
+            // server fault — the caller times out and resynchronizes, the
+            // server keeps serving.
+            Err(NetError::Partitioned | NetError::UnknownEndpoint(_)) => Ok(()),
+            other => other,
+        }
+    }
+}
+
+/// Server half: receives requests on its endpoint and answers each through
+/// the handler's [`Answer`].
 pub struct RpcServer {
     endpoint: Endpoint,
 }
@@ -94,27 +156,15 @@ impl RpcServer {
     /// Receive one request (up to `timeout`) and answer it with `handler`.
     /// One-way messages (correlation 0) are handled without replying.
     /// Returns `false` on timeout.
-    pub fn serve_one(
+    pub fn serve_one<A: Into<Answer>>(
         &self,
         timeout: Duration,
-        handler: impl FnOnce(&Envelope) -> Vec<u8>,
+        handler: impl FnOnce(&Envelope) -> A,
     ) -> NetResult<bool> {
         match self.endpoint.recv(timeout) {
             Ok(env) => {
-                let response = handler(&env);
-                if env.correlation != 0 {
-                    match self
-                        .endpoint
-                        .send_to(&env.from, env.correlation, true, response)
-                    {
-                        // A reply that can't reach the caller (fail-fast
-                        // partition, or the caller's endpoint restarted away)
-                        // is a lost message, not a server fault — the caller
-                        // times out and resynchronizes, the server keeps
-                        // serving.
-                        Err(NetError::Partitioned | NetError::UnknownEndpoint(_)) => {}
-                        other => other?,
-                    }
+                if let Answer::Now(payload) = handler(&env).into() {
+                    Responder::new(self.endpoint.bus(), &env).send(payload)?;
                 }
                 Ok(true)
             }
@@ -125,23 +175,26 @@ impl RpcServer {
 
     /// Serve until `stop` returns true, with a poll interval for the stop
     /// check.
-    pub fn serve_until(
+    pub fn serve_until<A: Into<Answer>>(
         &self,
         stop: impl Fn() -> bool,
-        handler: impl Fn(&Envelope) -> Vec<u8>,
+        mut handler: impl FnMut(&Envelope) -> A,
     ) -> NetResult<()> {
         while !stop() {
-            self.serve_one(Duration::from_millis(20), &handler)?;
+            self.serve_one(Duration::from_millis(20), &mut handler)?;
         }
         Ok(())
     }
 }
 
-/// Spawn a server loop on a thread; returns a shutdown guard.
-pub fn spawn_server(
+/// Spawn a server loop on a thread; returns a shutdown guard. The handler
+/// is dropped on the serving thread before the guard's join returns, so
+/// whatever it owns (threads answering [`Answer::Later`] requests among
+/// them) is gone once the server is.
+pub fn spawn_server<A: Into<Answer>>(
     bus: &NetworkBus,
     name: &str,
-    handler: impl Fn(&Envelope) -> Vec<u8> + Send + 'static,
+    handler: impl FnMut(&Envelope) -> A + Send + 'static,
 ) -> ServerGuard {
     let server = RpcServer::new(bus, name);
     let stop = Arc::new(AtomicU64::new(0));
@@ -269,6 +322,36 @@ mod tests {
                 .unwrap(),
             b"ok"
         );
+    }
+
+    /// A handler may answer later from another thread; the loop goes on
+    /// serving meanwhile, and the late reply still reaches its caller.
+    #[test]
+    fn later_answer_replies_from_another_thread() {
+        let bus = NetworkBus::new(1);
+        let (tx, rx) = crossbeam::channel::unbounded::<Responder>();
+        let bus2 = bus.clone();
+        let _guard = spawn_server(&bus, "server", move |env| {
+            if env.payload == b"later" {
+                let _ = tx.send(Responder::new(&bus2, env));
+                Answer::Later
+            } else {
+                Answer::Now(b"now".to_vec())
+            }
+        });
+        let slow = RpcClient::new(&bus, "slow");
+        let t = std::thread::spawn(move || {
+            slow.call("server", b"later".to_vec(), Duration::from_secs(2))
+        });
+        // The slow request is now held, unanswered; the loop still serves.
+        let responder = rx.recv().unwrap();
+        let fast = RpcClient::new(&bus, "fast");
+        assert_eq!(
+            fast.call("server", vec![], Duration::from_secs(2)).unwrap(),
+            b"now"
+        );
+        responder.send(b"late".to_vec()).unwrap();
+        assert_eq!(t.join().unwrap().unwrap(), b"late");
     }
 
     #[test]

@@ -665,6 +665,21 @@ impl QueueManager {
         }
     }
 
+    /// `queue`'s availability version: it moves whenever elements may have
+    /// become available (see [`crate::notify`]). Sample it before a
+    /// dequeue that finds the queue empty, then [`Self::wait_available`]
+    /// waits for the queue to change without holding a transaction open.
+    pub fn availability(&self, queue: &str) -> u64 {
+        self.notifier.version(queue)
+    }
+
+    /// Block until `queue`'s availability version passes `seen` or
+    /// `timeout` elapses. Returns `true` when it moved. A counted waiter,
+    /// like a blocked [`Self::dequeue`]: one new element wakes one waiter.
+    pub fn wait_available(&self, queue: &str, seen: u64, timeout: Duration) -> bool {
+        self.notifier.wait_past(queue, seen, timeout)
+    }
+
     /// One candidate-selection pass. `Ok(None)` means no candidate is
     /// currently available.
     fn try_dequeue_once(

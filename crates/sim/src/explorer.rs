@@ -45,7 +45,10 @@ const QM_EP: &str = "qm";
 const REQ_QUEUE: &str = "req";
 /// Short per-RPC timeout: partitions fail fast at the sender, so the only
 /// waiting left is the lost-reply direction (request delivered, response
-/// cut), which costs one timeout per failed operation.
+/// cut), which costs one timeout per failed operation. A receive parks at
+/// the QM for a window of up to half this timeout and waits that much
+/// longer for its answer, so a cut reply to a parked receive costs
+/// `RPC_TIMEOUT` plus the window: 225 ms.
 const RPC_TIMEOUT: Duration = Duration::from_millis(150);
 /// Generous receive window for the fault-free path — the reply always
 /// arrives, it is never a timeout race.

@@ -214,6 +214,66 @@ fn qm_endpoint_outage_then_recovery() {
     }
 }
 
+/// A receive parks at the QM, and the reply to it is lost: the client↔QM
+/// pair is cut (silently, no fail-fast) while the call waits, then the
+/// server commits the dequeue of the reply and its answer vanishes. The
+/// clerk sees a network error; the dequeue's registration tag still lets
+/// the next incarnation find and rereceive that reply, exactly once.
+#[test]
+fn lost_reply_to_parked_receive_is_rereceived_once() {
+    let bus = NetworkBus::new(23);
+    let (repo, _guard, _) = setup(&bus, SendMode::Acked);
+    let clerk_on = |ep: &str, receive_block: Duration| {
+        let mut remote = RemoteQm::new(&bus, ep, "qm");
+        remote.set_rpc_timeout(Duration::from_secs(1));
+        let mut cfg = ClerkConfig::new("rc", "req");
+        cfg.reply_queue = "reply.rc".into();
+        cfg.receive_block = receive_block;
+        Clerk::new(Arc::new(remote), cfg)
+    };
+    let rid = rrq_core::rid::Rid::new("rc", 1);
+
+    let clerk = clerk_on("parked-ep", Duration::from_secs(5));
+    clerk.connect().unwrap();
+    clerk.send("echo", b"cut".to_vec(), rid.clone()).unwrap();
+    // No server runs yet, so the receive parks on the empty reply queue.
+    let receiver = std::thread::spawn(move || clerk.receive(b""));
+    std::thread::sleep(Duration::from_millis(100));
+    bus.faults().partition_pair("parked-ep", "qm");
+    // Now the reply commits; the parked waiter dequeues it and answers
+    // into the cut.
+    let (_servers, handles, stop) = spawn_pool(&repo, "req", 1, echo_handler()).unwrap();
+    assert!(matches!(
+        receiver.join().unwrap(),
+        Err(rrq_core::error::CoreError::Net(_))
+    ));
+    bus.faults().heal_pair("parked-ep", "qm");
+
+    let clerk2 = clerk_on("resync-ep", Duration::from_millis(100));
+    let info = clerk2.connect().unwrap();
+    assert_eq!(info.s_rid.as_ref(), Some(&rid));
+    assert_eq!(
+        info.r_rid.as_ref(),
+        Some(&rid),
+        "the lost dequeue committed"
+    );
+    let reply = clerk2.rereceive().unwrap();
+    assert_eq!((reply.rid, reply.body.as_slice()), (rid, &b"cut"[..]));
+    assert_eq!(repo.qm().depth("reply.rc").unwrap(), 0);
+    assert!(
+        matches!(
+            clerk2.receive(b""),
+            Err(rrq_core::error::CoreError::Qm(rrq_qm::QmError::Empty(_)))
+        ),
+        "the reply must not be delivered a second time"
+    );
+
+    stop.store(true, Ordering::Relaxed);
+    for h in handles {
+        h.join().unwrap();
+    }
+}
+
 /// Message accounting for the §5 Send-mode claim: the one-way mode uses one
 /// message per send, the acked mode two (call + ack).
 #[test]
